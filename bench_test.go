@@ -13,12 +13,15 @@ package inlinered
 // EXPERIMENTS.md.
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"runtime"
 	"testing"
 
 	"inlinered/internal/experiments"
 	"inlinered/internal/metrics"
+	"inlinered/internal/workload"
 )
 
 // benchConfig scales benchmark runs down unless the caller asked for more.
@@ -101,6 +104,48 @@ func BenchmarkDataPlaneWallClock(b *testing.B) {
 					Mode: CPUOnly, Parallelism: bc.parallelism,
 					ContentDefined: bc.cdc,
 				}, stream)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.Chunks == 0 {
+					b.Fatal("empty report")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRunPerCall measures one short inlinered.Run call end to end —
+// engine construction (platform models, index, drive) plus Process of a
+// ~4 MiB shifted-duplicate stream with content-defined chunking and GPU
+// compression. Unlike BenchmarkDataPlaneWallClock's 64 MiB runs, fixed
+// per-engine costs are a large share of each call here, so construction
+// regressions show up. The stream is generated once, outside the timer.
+func BenchmarkRunPerCall(b *testing.B) {
+	r, n, err := workload.NewShifted(workload.ShiftSpec{
+		Files: 8, FileSize: 128 << 10, Repeats: 4, MaxShift: 4096, Fill: 0.55, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := make([]byte, n)
+	if _, err := io.ReadFull(r, data); err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name        string
+		parallelism int
+	}{
+		{"serial", 1},
+		{"parallel", runtime.NumCPU()},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			opts := Options{Mode: GPUCompress, ContentDefined: true, Parallelism: bc.parallelism}
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rep, err := Run(PaperPlatform(), opts, bytes.NewReader(data))
 				if err != nil {
 					b.Fatal(err)
 				}

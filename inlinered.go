@@ -171,6 +171,9 @@ func NewEngine(plat Platform, opts Options) (*Engine, error) {
 }
 
 // Process runs the stream through the pipeline and reports the results.
+// The returned *Report aliases the engine's state: holding it retains the
+// engine and the simulated-drive blocks the run wrote. Copy the Report to
+// keep only the numbers.
 func (e *Engine) Process(r io.Reader) (*Report, error) { return e.inner.Process(r) }
 
 // Verify re-reads the original stream and checks that every chunk is

@@ -306,7 +306,10 @@ func (e *Engine) RecoverIndexStrict() (*dedup.BinIndex, error) {
 }
 
 // Process runs the whole stream through the pipeline and returns the run
-// report. It may be called once per Engine.
+// report. It may be called once per Engine. The returned *Report aliases
+// the engine's own state, so holding it keeps the engine reachable, and
+// with it the drive blocks the run wrote; copy the Report to retain only
+// the numbers.
 func (e *Engine) Process(r io.Reader) (*Report, error) {
 	if e.ran {
 		return nil, fmt.Errorf("core: Engine.Process is single-use; build a new Engine")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -632,5 +633,35 @@ func TestCDCWithGPUModes(t *testing.T) {
 		if err := eng.VerifyAgainst(s); err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
+	}
+}
+
+// Building an engine must not pay for the simulated drive's capacity: the
+// SSD model allocates page state only for blocks a run writes, so
+// construction stays O(channels) allocations and under 1 MiB, against the
+// ~8k allocations and ~17 MB a fully materialised drive would cost.
+func TestNewEngineConstructionCost(t *testing.T) {
+	build := func() {
+		e, err := NewEngine(PaperPlatform(), DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.pool.Close()
+	}
+	const runs = 10
+	allocs := testing.AllocsPerRun(runs, build)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	allocated := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("NewEngine(PaperPlatform(), DefaultConfig()): %.0f allocs, %d bytes", allocs, allocated)
+	if allocs > 200 {
+		t.Errorf("NewEngine allocs = %.0f, want <= 200", allocs)
+	}
+	if allocated >= 1<<20 {
+		t.Errorf("NewEngine allocated %d bytes, want < 1 MiB", allocated)
 	}
 }

@@ -7,10 +7,9 @@ import (
 // BatchHasher fingerprints slices of chunks through a persistent
 // parallel.Pool with zero steady-state allocations: the job closure is
 // built once at construction and the batch inputs are threaded through
-// fields, so a Map dispatch captures nothing per call. This replaces the
-// goroutine-per-batch fan-out of ParallelSumInto on the engine's hot
-// path — hashing has no cross-chunk dependency (§3.1), so the pool's
-// atomic batch claiming is all the coordination the stage needs.
+// fields, so a Map dispatch captures nothing per call. Hashing has no
+// cross-chunk dependency (§3.1), so the pool's atomic batch claiming is
+// all the coordination the stage needs.
 //
 // A BatchHasher is owned by one dispatching goroutine; concurrent SumInto
 // calls on the same hasher would race on the staged batch fields. The

@@ -14,22 +14,8 @@ func BenchmarkSum4K(b *testing.B) {
 	}
 }
 
-func BenchmarkParallelSumBatch(b *testing.B) {
-	chunks := make([][]byte, 1024)
-	for i := range chunks {
-		chunks[i] = make([]byte, 4096)
-		chunks[i][0] = byte(i)
-	}
-	b.SetBytes(int64(len(chunks)) * 4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ParallelSum(chunks, 8)
-	}
-}
-
-// BenchmarkSumBatch is the pooled counterpart of BenchmarkParallelSumBatch:
-// same 1024×4 KB batch, dispatched through a persistent parallel.Pool by a
-// reused BatchHasher — the engine's actual hash stage. allocs/op is the
+// BenchmarkSumBatch fingerprints a 1024×4 KB batch dispatched through a
+// persistent parallel.Pool by a reused BatchHasher — the engine's actual hash stage. allocs/op is the
 // regression guard for the zero-alloc dispatch.
 func BenchmarkSumBatch(b *testing.B) {
 	chunks := make([][]byte, 1024)

@@ -1,53 +1,9 @@
 package dedup
 
 import (
-	"crypto/sha1"
 	"fmt"
 	"sync"
 )
-
-// ParallelSum fingerprints a batch of chunks across workers goroutines.
-// Hashing has no cross-chunk dependency (§3.1), so this is embarrassingly
-// parallel; results are positionally aligned with the input.
-func ParallelSum(chunks [][]byte, workers int) []Fingerprint {
-	return ParallelSumInto(nil, chunks, workers)
-}
-
-// ParallelSumInto is ParallelSum writing into dst, which is grown only
-// when its capacity is insufficient — callers that recycle batches reuse
-// one fingerprint slice for the whole run.
-func ParallelSumInto(dst []Fingerprint, chunks [][]byte, workers int) []Fingerprint {
-	if workers < 1 {
-		workers = 1
-	}
-	var out []Fingerprint
-	if cap(dst) >= len(chunks) {
-		out = dst[:len(chunks)]
-	} else {
-		out = make([]Fingerprint, len(chunks))
-	}
-	if len(chunks) == 0 {
-		return out
-	}
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			h := sha1.New()
-			for i := w; i < len(chunks); i += workers {
-				h.Reset()
-				h.Write(chunks[i])
-				h.Sum(out[i][:0])
-			}
-		}(w)
-	}
-	wg.Wait()
-	return out
-}
 
 // ItemResult is the outcome of indexing one chunk in a batch.
 type ItemResult struct {

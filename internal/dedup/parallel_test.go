@@ -7,37 +7,6 @@ import (
 	"testing"
 )
 
-func TestParallelSumMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	chunks := make([][]byte, 257)
-	for i := range chunks {
-		chunks[i] = make([]byte, rng.Intn(4096))
-		rng.Read(chunks[i])
-	}
-	want := make([]Fingerprint, len(chunks))
-	for i, c := range chunks {
-		want[i] = Sum(c)
-	}
-	for _, workers := range []int{1, 2, 7, 64, 1000} {
-		got := ParallelSum(chunks, workers)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d chunk %d mismatch", workers, i)
-			}
-		}
-	}
-}
-
-func TestParallelSumEmptyAndClamp(t *testing.T) {
-	if got := ParallelSum(nil, 4); len(got) != 0 {
-		t.Fatal("empty batch should produce empty result")
-	}
-	got := ParallelSum([][]byte{{1}}, 0) // workers clamped to 1
-	if got[0] != Sum([]byte{1}) {
-		t.Fatal("clamped workers broke hashing")
-	}
-}
-
 func TestParallelIndexerMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	fps := make([]Fingerprint, 5000)

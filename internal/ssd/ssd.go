@@ -17,7 +17,9 @@
 //     endurance experiment (E7) measures.
 //
 // The drive tracks timing and accounting only; chunk payloads stay in host
-// memory (the pipeline verifies data integrity itself).
+// memory (the pipeline verifies data integrity itself). Per-page FTL state
+// is allocated the first time a block is opened, so a drive's memory and
+// construction cost track the blocks actually written, not its capacity.
 package ssd
 
 import (
@@ -91,15 +93,17 @@ type ppn struct {
 }
 
 type block struct {
-	state    []pageState
-	valid    int
-	erases   int
+	// state holds, per page, lpn+1 of the logical page mapped there, or 0
+	// when the page is invalid (never written, overwritten, trimmed, or
+	// migrated), so zeroed memory reads as erased. It is nil until the
+	// block is first opened and is kept across erases for reuse.
+	state  []int64
+	valid  int
+	erases int
+	// nextFree is the next page to program. It is 0 exactly when the
+	// block is on its channel's free list: allocPage sets it to 1 as it
+	// takes a block off the list, and collect resets it as it erases one.
 	nextFree int
-}
-
-type pageState struct {
-	lpn   int64 // logical page mapped here, -1 if none
-	valid bool
 }
 
 type channel struct {
@@ -138,18 +142,24 @@ func New(cfg Config) *Drive {
 	if cfg.GCFreeBlocks < 1 {
 		cfg.GCFreeBlocks = 1
 	}
-	d := &Drive{Config: cfg, l2p: make(map[int64]ppn), journalBase: -1}
-	for c := 0; c < cfg.Channels; c++ {
+	d := &Drive{
+		Config:      cfg,
+		chans:       make([]*channel, cfg.Channels),
+		l2p:         make(map[int64]ppn),
+		journalBase: -1,
+	}
+	for c := range d.chans {
 		ch := &channel{
 			pool:   sim.NewPool(fmt.Sprintf("ssd:%s:ch%d", cfg.Name, c), 1),
 			blocks: make([]block, cfg.BlocksPerChannel),
+			free:   make([]int, cfg.BlocksPerChannel),
 			active: -1,
 		}
-		for b := range ch.blocks {
-			ch.blocks[b].state = make([]pageState, cfg.PagesPerBlock)
-			ch.free = append(ch.free, b)
+		// allocPage pops from the end, so block BlocksPerChannel-1 opens first.
+		for b := range ch.free {
+			ch.free[b] = b
 		}
-		d.chans = append(d.chans, ch)
+		d.chans[c] = ch
 	}
 	return d
 }
@@ -374,7 +384,7 @@ func (d *Drive) program(at time.Duration, ci int, ch *channel, lpn int64, host b
 		d.rec.Span(d.lane(ci), name, start, end)
 	}
 	b := &ch.blocks[blk]
-	b.state[page] = pageState{lpn: lpn, valid: true}
+	b.state[page] = lpn + 1
 	b.valid++
 	d.l2p[lpn] = ppn{ch: int32(ci), blk: int32(blk), page: int32(page)}
 	d.stats.NANDWritePages++
@@ -401,7 +411,11 @@ func (d *Drive) allocPage(at time.Duration, ci int, ch *channel) (blk, page int,
 	b := ch.free[len(ch.free)-1]
 	ch.free = ch.free[:len(ch.free)-1]
 	ch.active = b
-	ch.blocks[b].nextFree = 1
+	fb := &ch.blocks[b]
+	if fb.state == nil {
+		fb.state = make([]int64, d.PagesPerBlock)
+	}
+	fb.nextFree = 1
 	return b, 0, nil
 }
 
@@ -420,27 +434,26 @@ func (d *Drive) collect(at time.Duration, ci int, ch *channel) {
 		// Migrate valid pages: read + program each into the active block.
 		for p := 0; p < vb.nextFree; p++ {
 			st := vb.state[p]
-			if !st.valid {
+			if st == 0 {
 				continue
 			}
 			rs, re := ch.pool.Acquire(at, d.ReadLatency)
 			d.rec.Span(d.lane(ci), "gc-read", rs, re)
 			d.stats.NANDReadPages++
-			vb.state[p].valid = false
+			vb.state[p] = 0
 			vb.valid--
-			if _, err := d.program(at, ci, ch, st.lpn, false); err != nil {
+			if _, err := d.program(at, ci, ch, st-1, false); err != nil {
 				return
 			}
 		}
 		es, ee := ch.pool.Acquire(at, d.EraseLatency)
 		d.rec.Span(d.lane(ci), "erase", es, ee)
 		d.stats.Erases++
+		// Every page is invalid now (migration zeroed the valid ones), so
+		// the block's state already reads as erased.
 		vb.erases++
 		vb.nextFree = 0
 		vb.valid = 0
-		for p := range vb.state {
-			vb.state[p] = pageState{}
-		}
 		ch.free = append(ch.free, victim)
 	}
 }
@@ -449,17 +462,10 @@ func (d *Drive) collect(at time.Duration, ci int, ch *channel) {
 // free nor active, or -1 if none would free space.
 func (d *Drive) pickVictim(ch *channel) int {
 	best, bestValid := -1, d.PagesPerBlock+1
-	isFree := make(map[int]bool, len(ch.free))
-	for _, f := range ch.free {
-		isFree[f] = true
-	}
 	for b := range ch.blocks {
-		if b == ch.active || isFree[b] {
-			continue
-		}
 		blk := &ch.blocks[b]
-		if blk.nextFree == 0 {
-			continue // never written
+		if b == ch.active || blk.nextFree == 0 {
+			continue // open, or free (erased or never written)
 		}
 		// Erasing a fully valid block frees nothing; skip.
 		if blk.valid >= blk.nextFree && blk.nextFree == d.PagesPerBlock {
@@ -474,8 +480,8 @@ func (d *Drive) pickVictim(ch *channel) int {
 
 func (d *Drive) invalidate(p ppn) {
 	b := &d.chans[p.ch].blocks[p.blk]
-	if b.state[p.page].valid {
-		b.state[p.page].valid = false
+	if b.state[p.page] != 0 {
+		b.state[p.page] = 0
 		b.valid--
 	}
 }

@@ -3,6 +3,7 @@ package ssd
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -237,7 +238,9 @@ func TestNewValidation(t *testing.T) {
 
 // Mapping invariant: after arbitrary writes and trims, every l2p entry
 // points at a valid physical page whose recorded lpn matches, and the
-// number of valid pages equals the number of mappings.
+// number of valid pages equals the number of mappings. A block is on its
+// channel's free list exactly when nothing has been programmed into it
+// since its last erase (nextFree == 0), which pickVictim relies on.
 func TestMappingInvariant(t *testing.T) {
 	d := New(smallConfig())
 	logical := d.LogicalPages()
@@ -253,19 +256,34 @@ func TestMappingInvariant(t *testing.T) {
 		}
 	}
 	valid := 0
-	for _, ch := range d.chans {
+	for ci, ch := range d.chans {
+		unopened := 0
+		for b := range ch.blocks {
+			if ch.blocks[b].nextFree == 0 {
+				unopened++
+			}
+		}
+		for _, b := range ch.free {
+			if ch.blocks[b].nextFree != 0 {
+				t.Fatalf("channel %d: free block %d has nextFree %d", ci, b, ch.blocks[b].nextFree)
+			}
+		}
+		if unopened != len(ch.free) {
+			t.Fatalf("channel %d: %d blocks with nextFree 0, %d on the free list", ci, unopened, len(ch.free))
+		}
 		for b := range ch.blocks {
 			for p, st := range ch.blocks[b].state {
-				if !st.valid {
+				if st == 0 {
 					continue
 				}
 				valid++
-				m, ok := d.l2p[st.lpn]
+				lpn := st - 1
+				m, ok := d.l2p[lpn]
 				if !ok {
-					t.Fatalf("valid page for lpn %d has no mapping", st.lpn)
+					t.Fatalf("valid page for lpn %d has no mapping", lpn)
 				}
 				if int(m.blk) != b || int(m.page) != p {
-					t.Fatalf("mapping for lpn %d points elsewhere", st.lpn)
+					t.Fatalf("mapping for lpn %d points elsewhere", lpn)
 				}
 			}
 		}
@@ -384,5 +402,27 @@ func TestFaultDeterminism(t *testing.T) {
 	}
 	if s1.WriteFaults == 0 || s1.LatencySpikes == 0 {
 		t.Fatalf("expected injected activity at rate 0.2: %+v", s1)
+	}
+}
+
+// A drive's construction cost must track its channel count, not its
+// capacity: per-page FTL state is allocated only when a block is opened.
+func TestNewCostIndependentOfCapacity(t *testing.T) {
+	cfg := DefaultConfig()
+	const runs = 10
+	allocs := testing.AllocsPerRun(runs, func() { New(cfg) })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		New(cfg)
+	}
+	runtime.ReadMemStats(&after)
+	allocated := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("ssd.New(DefaultConfig()): %.0f allocs, %d bytes", allocs, allocated)
+	if max := float64(8*cfg.Channels + 8); allocs > max {
+		t.Errorf("ssd.New allocs = %.0f, want <= %.0f (O(Channels))", allocs, max)
+	}
+	if allocated >= 1<<20 {
+		t.Errorf("ssd.New allocated %d bytes, want < 1 MiB", allocated)
 	}
 }

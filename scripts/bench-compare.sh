@@ -3,8 +3,8 @@
 # emit the machine-readable benchmark trajectory.
 #
 # Runs BenchmarkDataPlaneWallClock, BenchmarkServeWallClock,
-# BenchmarkClusterWallClock, and BenchmarkReadPathWallClock (root package)
-# plus the chunker (BenchmarkGearCDC*), batch-fingerprint
+# BenchmarkClusterWallClock, BenchmarkReadPathWallClock, and
+# BenchmarkRunPerCall (root package) plus the chunker (BenchmarkGearCDC*), batch-fingerprint
 # (BenchmarkSumBatch), and sub-block decode (BenchmarkSubDecode4K)
 # microbenchmarks, and compares them with the
 # checked-in baseline (bench_baseline.txt, recorded with
@@ -54,6 +54,8 @@ CASES=(
     BenchmarkReadPathWallClock/serial
     BenchmarkReadPathWallClock/parallel
     BenchmarkReadPathWallClock/warm
+    BenchmarkRunPerCall/serial
+    BenchmarkRunPerCall/parallel
     BenchmarkGearCDC/
     BenchmarkSumBatch
     BenchmarkSubDecode4K/serial
@@ -86,10 +88,13 @@ run_bench() {
         "${PROFILE_ARGS[@]}"
     # Microbenchmarks use iteration-count benchtimes so each of the COUNT
     # repetitions does identical work (time-based -benchtime would resize
-    # N between reps and skew the geomean).
+    # N between reps and skew the geomean). One RunPerCall iteration is a
+    # single ~4 MiB inlinered.Run, so it gets more of them per sample.
+    go test . -run '^$' -bench 'BenchmarkRunPerCall' \
+        -benchtime 20x -count "$COUNT" -timeout 20m
     go test ./internal/chunk -run '^$' -bench 'BenchmarkGearCDC' \
         -benchtime 100x -count "$COUNT" -timeout 20m
-    go test ./internal/dedup -run '^$' -bench 'BenchmarkSumBatch|BenchmarkParallelSumBatch' \
+    go test ./internal/dedup -run '^$' -bench 'BenchmarkSumBatch' \
         -benchtime 20x -count "$COUNT" -timeout 20m
     go test ./internal/lz -run '^$' -bench 'BenchmarkSubDecode4K' \
         -benchtime 500x -count "$COUNT" -timeout 20m
