@@ -73,9 +73,10 @@ func BenchmarkDecompress4K(b *testing.B) {
 	}
 }
 
-// BenchmarkSubDecode4K compares the two decode paths over one indexed
-// 4-lane container: the retained serial decoder versus the two-pass
-// resolve + per-part decode + deferred patch-up (run on one goroutine
+// BenchmarkSubDecode4K compares the decode paths over one indexed 4-lane
+// container: the retained serial decoder, the two-pass resolve + per-part
+// decode + deferred patch-up (/indexed), and the in-order per-part decode
+// on final history that defers nothing (/final) — all on one goroutine
 // here — the per-part overhead is the interesting number; the wall-clock
 // win from fanning parts out is measured by BenchmarkReadPathWallClock).
 func BenchmarkSubDecode4K(b *testing.B) {
@@ -112,6 +113,22 @@ func BenchmarkSubDecode4K(b *testing.B) {
 				}
 			}
 			ResolveDeferred(out, deferred)
+		}
+	})
+	b.Run("final", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		var lay SubLayout
+		out := make([]byte, len(data))
+		for i := 0; i < b.N; i++ {
+			ok, err := ResolveSubBlocks(&lay, blob)
+			if !ok || err != nil {
+				b.Fatalf("resolve: ok=%v err=%v", ok, err)
+			}
+			for p := range lay.Parts {
+				if _, derr := DecodeSubPartFinal(out, &lay, p); derr != nil {
+					b.Fatal(derr)
+				}
+			}
 		}
 	})
 }

@@ -20,6 +20,10 @@ import (
 // a part's start may reach back into bytes a *different* lane owns, which
 // are not guaranteed to exist yet — those copies are deferred and patched
 // in by a cheap sequential pass (ResolveDeferred) once all lanes finish.
+// Deferral is only needed out of order: a lane that starts a part after
+// every earlier part of its blob is final decodes it with
+// DecodeSubPartFinal, whose matches read the real history and defer
+// nothing.
 
 // SubPart is one lane's slice of an indexed sub-block container: its token
 // stream and the exact output range it must produce.
@@ -147,6 +151,24 @@ func parseSubIdx(lay *SubLayout, payload []byte) error {
 // never be masked by its neighbours. Distinct parts may decode
 // concurrently over one shared out — each writes only its own range.
 func DecodeSubPart(out []byte, lay *SubLayout, part int, deferred []DeferredCopy) ([]DeferredCopy, int, error) {
+	return decodeSubPart(out, lay, part, deferred, false)
+}
+
+// DecodeSubPartFinal is DecodeSubPart for a part whose history is final:
+// every byte of out before the part's OutStart already holds its decoded
+// value (parts 0..part-1 decoded and their deferred copies resolved).
+// Matches then read real history, so nothing is deferred or hole-checked
+// and the part's bytes are final when it returns — the in-order fast path
+// a worker takes when it reaches a blob's parts in sequence. Returns the
+// tokens decoded and the first corruption found.
+func DecodeSubPartFinal(out []byte, lay *SubLayout, part int) (int, error) {
+	_, tokens, err := decodeSubPart(out, lay, part, nil, true)
+	return tokens, err
+}
+
+// decodeSubPart is the one decode loop behind both part decoders. With
+// final set, history before OutStart is trusted and no match defers.
+func decodeSubPart(out []byte, lay *SubLayout, part int, deferred []DeferredCopy, final bool) ([]DeferredCopy, int, error) {
 	p := lay.Parts[part]
 	stream := p.Tokens
 	pos, end := p.OutStart, p.OutStart+p.OutLen
@@ -201,23 +223,13 @@ func DecodeSubPart(out []byte, lay *SubLayout, part int, deferred []DeferredCopy
 				return deferred, tokens, fmt.Errorf("%w: part %d: match offset %d reaches before output start", ErrCorrupt, part, offset)
 			}
 			tokens++
-			if src < p.OutStart ||
-				(len(deferred) > base && overlapsHole(deferred[base:], src, length)) {
+			if !final && (src < p.OutStart ||
+				(len(deferred) > base && overlapsHole(deferred[base:], src, length))) {
 				deferred = append(deferred, DeferredCopy{Dst: int32(pos), Src: int32(src), Len: int32(length)})
 				pos += length
 				continue
 			}
-			if offset >= length {
-				// Source and destination are disjoint: memmove beats the
-				// byte loop for every length over a few bytes.
-				copy(out[pos:pos+length], out[src:src+length])
-			} else {
-				// Overlapping self-copy replicates byte-by-byte, as in the
-				// serial decoder.
-				for j := 0; j < length; j++ {
-					out[pos+j] = out[src+j]
-				}
-			}
+			copyMatch(out, pos, src, length)
 			pos += length
 		}
 	}
@@ -225,6 +237,35 @@ func DecodeSubPart(out []byte, lay *SubLayout, part int, deferred []DeferredCopy
 		return deferred, tokens, fmt.Errorf("%w: part %d decoded %d bytes, boundary table says %d", ErrCorrupt, part, pos-p.OutStart, p.OutLen)
 	}
 	return deferred, tokens, nil
+}
+
+// copyMatch copies out[src:src+length] to out[dst:], src < dst, with the
+// serial decoder's byte-at-a-time semantics: when the ranges overlap the
+// copy replicates the period-(dst-src) pattern that ends at dst. Only
+// out[src:dst] is read before being written, so the caller need only
+// guarantee those bytes are final.
+func copyMatch(out []byte, dst, src, length int) {
+	offset := dst - src
+	switch {
+	case offset >= length:
+		// Disjoint: one memmove.
+		copy(out[dst:dst+length], out[src:src+length])
+	case offset == 1:
+		// A run of one byte: a fill.
+		b := out[src]
+		run := out[dst : dst+length]
+		for j := range run {
+			run[j] = b
+		}
+	default:
+		// Seed one period from the final bytes before dst, then double:
+		// each copy's source is the already-replicated prefix, and every
+		// prefix length is a multiple of the period.
+		n := copy(out[dst:dst+length], out[src:dst])
+		for n < length {
+			n += copy(out[dst+n:dst+length], out[dst:dst+n])
+		}
+	}
 }
 
 func overrunErr(part int, p SubPart) error {
@@ -255,9 +296,7 @@ func overlapsHole(holes []DeferredCopy, src, length int) bool {
 // like the serial decoder.
 func ResolveDeferred(out []byte, deferred []DeferredCopy) {
 	for _, d := range deferred {
-		for j := int32(0); j < d.Len; j++ {
-			out[d.Dst+j] = out[d.Src+j]
-		}
+		copyMatch(out, int(d.Dst), int(d.Src), int(d.Len))
 	}
 }
 

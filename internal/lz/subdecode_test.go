@@ -3,6 +3,7 @@ package lz
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -53,7 +54,7 @@ func litStream(lits string) []byte {
 // mode-4 boundary table catches it per part, in both the serial and the
 // parallel decoder.
 func TestTruncatedPartMasking(t *testing.T) {
-	truncated := litStream("ab")   // claims to be part of "abcd"
+	truncated := litStream("ab")  // claims to be part of "abcd"
 	padded := litStream("efghij") // a later part "compensating" 2 bytes
 
 	// Legacy container: decodes without error — the masking this PR fixes.
@@ -177,8 +178,9 @@ func TestImplausibleOutLenRejectedAtParse(t *testing.T) {
 
 // TestSubDecodeParallelDifferential: the two-pass parallel decoder must be
 // byte-identical to the retained serial decoder across all golden corpora,
-// lane counts, and overlaps — including when parts decode out of order
-// (reverse here), which is exactly what a worker pool does.
+// lane counts, and overlaps — in order on final history (deferring
+// nothing), and out of order (reverse, shuffled), which a worker pool can
+// do.
 func TestSubDecodeParallelDifferential(t *testing.T) {
 	for name, data := range corpus() {
 		for _, subs := range []int{1, 2, 4, 8} {
@@ -218,6 +220,22 @@ func TestSubDecodeParallelDifferential(t *testing.T) {
 					t.Fatalf("%s/%d/%d: parallel (reverse order) diverges from serial", name, subs, overlap)
 				}
 
+				// In order with final history (the pool's common case):
+				// nothing defers.
+				for name2, order := range decodeOrders(len(lay.Parts)) {
+					out := make([]byte, lay.SrcLen)
+					deferred, err := decodeInOrder(out, &lay, order)
+					if err != nil {
+						t.Fatalf("%s/%d/%d/%s: %v", name, subs, overlap, name2, err)
+					}
+					if !bytes.Equal(out, serial) {
+						t.Fatalf("%s/%d/%d/%s: decode diverges from serial", name, subs, overlap, name2)
+					}
+					if name2 == "in-order" && deferred != 0 {
+						t.Fatalf("%s/%d/%d: in-order decode deferred %d copies", name, subs, overlap, deferred)
+					}
+				}
+
 				// And through the one-call driver.
 				out2 := make([]byte, lay.SrcLen)
 				if _, err := DecodeSub(out2, &lay, nil); err != nil {
@@ -231,9 +249,75 @@ func TestSubDecodeParallelDifferential(t *testing.T) {
 	}
 }
 
+// decodeOrders returns the part schedules the differential tests drive:
+// in order, reverse, and a fixed shuffle.
+func decodeOrders(parts int) map[string][]int {
+	in, rev := make([]int, parts), make([]int, parts)
+	for i := range in {
+		in[i] = i
+		rev[i] = parts - 1 - i
+	}
+	shuf := append([]int(nil), in...)
+	rand.New(rand.NewSource(int64(parts))).Shuffle(parts, func(i, j int) {
+		shuf[i], shuf[j] = shuf[j], shuf[i]
+	})
+	return map[string][]int{"in-order": in, "reverse": rev, "shuffled": shuf}
+}
+
+// decodeInOrder decodes lay's parts in the given order under the batch
+// read path's rule: a part whose predecessors are all final decodes with
+// DecodeSubPartFinal and extends the final prefix; any other part takes
+// the deferral path, and the deferred lists resolve in part order at the
+// end. It returns how many copies were deferred.
+func decodeInOrder(out []byte, lay *SubLayout, order []int) (int, error) {
+	defs := make([][]DeferredCopy, len(lay.Parts))
+	final, deferred := 0, 0
+	for _, p := range order {
+		var err error
+		if p == final {
+			_, err = DecodeSubPartFinal(out, lay, p)
+			final++
+		} else {
+			defs[p], _, err = DecodeSubPart(out, lay, p, nil)
+			deferred += len(defs[p])
+		}
+		if err != nil {
+			return deferred, err
+		}
+	}
+	for _, d := range defs {
+		ResolveDeferred(out, d)
+	}
+	return deferred, nil
+}
+
+// TestCopyMatchMatchesByteLoop: the memmove/fill/doubling match copy must
+// equal the serial decoder's byte-at-a-time loop for every offset and
+// length a token can encode.
+func TestCopyMatchMatchesByteLoop(t *testing.T) {
+	const pre = 64
+	for offset := 1; offset <= 40; offset++ {
+		for length := MinMatch; length <= MinMatch+15; length++ {
+			want := make([]byte, pre+length)
+			for i := 0; i < pre; i++ {
+				want[i] = byte(i*7 + 3)
+			}
+			got := append([]byte(nil), want...)
+			for j := 0; j < length; j++ {
+				want[pre+j] = want[pre-offset+j]
+			}
+			copyMatch(got, pre, pre-offset, length)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("offset %d length %d: copyMatch diverges from the byte loop", offset, length)
+			}
+		}
+	}
+}
+
 // FuzzSubDecodeParallel: for arbitrary bytes, the parallel two-pass decode
-// and the serial decoder must agree on accept/reject, and on the bytes
-// when both accept.
+// — in order on final history, and out of order through deferral — and
+// the serial decoder must agree on accept/reject, and on the bytes when
+// both accept.
 func FuzzSubDecodeParallel(f *testing.F) {
 	for _, data := range corpus() {
 		res := CompressSubBlocks(data, DefaultSubBlockParams())
@@ -267,6 +351,18 @@ func FuzzSubDecodeParallel(f *testing.F) {
 		}
 		if serr == nil && !bytes.Equal(serial, out) {
 			t.Fatal("parallel decode diverges from serial")
+		}
+		// Final-history decode in order and deferral decode out of order
+		// must agree with serial too.
+		for name, order := range decodeOrders(len(lay.Parts)) {
+			out := make([]byte, lay.SrcLen)
+			_, oerr := decodeInOrder(out, &lay, order)
+			if (serr == nil) != (oerr == nil) {
+				t.Fatalf("%s: serial err=%v, parallel err=%v", name, serr, oerr)
+			}
+			if serr == nil && !bytes.Equal(serial, out) {
+				t.Fatalf("%s: parallel decode diverges from serial", name)
+			}
 		}
 	})
 }

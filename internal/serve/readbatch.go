@@ -151,7 +151,7 @@ func (a *Array) Close() {
 //     sub-block of an indexed container) over the array's shared worker
 //     pool. Items write disjoint output ranges; nothing here touches a
 //     virtual clock.
-//  3. Commit: workers claim shards again, patch deferred overlap copies,
+//  3. Commit: workers claim shards again, patch any deferred overlap copies,
 //     fill cache reservations, and hand results to opt.Sink.
 //
 // Shard queues are an order-preserving partition of lbas, so each shard's

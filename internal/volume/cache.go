@@ -48,12 +48,28 @@ type blockCache struct {
 	probBytes  int64
 
 	// Intrusive doubly-linked lists (front = most recent / newest) plus a
-	// free list of recycled nodes, so steady-state cache maintenance
-	// allocates only entry payloads.
+	// free list of recycled nodes.
 	prot cacheList // protected LRU
 	prob cacheList // probation FIFO
 	byFP map[dedup.Fingerprint]*cacheEntry
 	free *cacheEntry
+
+	// Payload buffers of evicted and removed entries, so steady-state
+	// cache maintenance allocates nothing. A batch read reserves an
+	// entry's buffer at plan time and fills it at commit, possibly after
+	// the entry was evicted; handing that buffer to a new entry before the
+	// fill would let the stale fill overwrite fresh content. So while any
+	// batch is open (openBatches > 0, between its Plan and the end of its
+	// Commit) freed buffers park, and they settle into spare — reusable by
+	// insert — only when the last open batch closes. With no batch open, a
+	// freed buffer goes straight to spare. parkRoom, the reads planned by
+	// the open batches, bounds the parked list (a healthy batch frees at
+	// most one entry per planned read), so a batch that is never closed
+	// cannot make it grow without limit; a buffer freed past that bound is
+	// dropped.
+	parked, spare [][]byte
+	openBatches   int
+	parkRoom      int
 
 	ghost  ghostList
 	sketch freqSketch
@@ -389,16 +405,56 @@ func (c *blockCache) evictOne() {
 	c.recycle(e)
 }
 
-// recycle returns a node to the free list. The payload is dropped, not
-// reused: the batch read path may still hold the old data slice as a
-// pending fill target (reserve's contract — filling an orphan is
-// harmless), so handing that buffer to a new fingerprint would let a
-// stale fill poison fresh content.
+// recycle returns a node to the free list and its payload to the buffer
+// lists: parked while a batch is open (an open batch may still fill the
+// buffer as an orphan slot), spare otherwise.
 func (c *blockCache) recycle(e *cacheEntry) {
+	if c.openBatches == 0 {
+		c.spare = append(c.spare, e.data)
+	} else if len(c.parked) < c.parkRoom {
+		c.parked = append(c.parked, e.data)
+	}
 	e.data = nil
 	e.prev = nil
 	e.next = c.free
 	c.free = e
+}
+
+// openBatch records a batch of reads entering its plan phase: from now
+// until the matching closeBatch, freed payload buffers park instead of
+// becoming reusable.
+func (c *blockCache) openBatch(reads int) {
+	c.openBatches++
+	c.parkRoom += reads
+}
+
+// closeBatch records a batch of reads leaving its commit phase. When it
+// was the last open batch, no reserved slot can still be filled, so every
+// parked buffer settles into spare.
+func (c *blockCache) closeBatch(reads int) {
+	c.openBatches--
+	c.parkRoom -= reads
+	if c.openBatches == 0 {
+		c.spare = append(c.spare, c.parked...)
+		clear(c.parked)
+		c.parked = c.parked[:0]
+	}
+}
+
+// buffer returns an n-byte payload buffer, reusing a spare one when
+// available. Its contents are stale: callers overwrite it. A spare of the
+// wrong size (only a corrupt blob decodes to one) is dropped rather than
+// kept, so every insert shrinks the spare list by one.
+func (c *blockCache) buffer(n int) []byte {
+	if k := len(c.spare) - 1; k >= 0 {
+		b := c.spare[k]
+		c.spare[k] = nil
+		c.spare = c.spare[:k]
+		if len(b) == n {
+			return b
+		}
+	}
+	return make([]byte, n)
 }
 
 func (c *blockCache) node() *cacheEntry {
@@ -451,7 +507,7 @@ func (c *blockCache) insert(fp dedup.Fingerprint, n int) *cacheEntry {
 
 	e := c.node()
 	e.fp = fp
-	e.data = make([]byte, n)
+	e.data = c.buffer(n)
 	if toProtected {
 		e.where = inProtected
 		c.prot.pushFront(e)
@@ -475,9 +531,11 @@ func (c *blockCache) insert(fp dedup.Fingerprint, n int) *cacheEntry {
 // returns its data slice (nil when the cache is off or n oversized). The
 // batch read path reserves at decision time so admission, eviction, and
 // segment state advance exactly as the serial path's put would, even
-// though the decoded bytes only land at commit. The returned slice stays
-// valid if the entry is evicted before the fill — filling an orphan is
-// harmless (eviction drops the buffer, it never reassigns it).
+// though the decoded bytes only land at commit. The caller must hold an
+// open batch (openBatch) until the fill is done: the returned slice then
+// stays the caller's to fill even if the entry is evicted first — the
+// evicted buffer parks until every open batch closes, so filling an
+// orphan is harmless.
 func (c *blockCache) reserve(fp dedup.Fingerprint, n int) []byte {
 	if c.capBytes <= 0 || int64(n) > c.capBytes {
 		return nil

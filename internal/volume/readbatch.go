@@ -3,6 +3,7 @@ package volume
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"inlinered/internal/dedup"
@@ -20,16 +21,26 @@ import (
 //	Run    — parallel work phase: decode items (one per sub-block of an
 //	         indexed container, one per whole blob otherwise) execute in
 //	         any order, on any number of goroutines, writing only their
-//	         own disjoint output ranges.
-//	Commit — sequential commit phase: per-job deferred overlap copies are
-//	         patched in job order, reserved cache slots are filled (or
-//	         un-reserved on decode failure), and reads that hit a
-//	         pending-decode cache entry copy their bytes out.
+//	         own disjoint output ranges. A sub-block whose blob's earlier
+//	         parts are all final decodes against that real history and
+//	         defers nothing; the pool claims consecutive items, so this is
+//	         how nearly every part runs. Only a part that starts before
+//	         its predecessors finish defers cross-part overlap copies.
+//	Commit — sequential commit phase: per-job deferred overlap copies (if
+//	         any) are patched in job order, reserved cache slots are
+//	         filled (or un-reserved on decode failure), and reads that hit
+//	         a pending-decode cache entry copy their bytes out.
 //
 // Because every virtual-clock mutation happens in Plan, in request order,
 // the report is bit-identical to the serial loop for any worker count.
 // The only divergences from N serial ReadInto calls are corrupt-data
 // corner cases, documented on ReadBatch.
+//
+// A batch is open from Plan to the end of Commit. While any batch on the
+// volume is open, buffers of evicted cache entries park instead of being
+// reused, so a slot reserved at plan time and evicted before its commit
+// fill can never alias a newer entry; they settle for reuse when the last
+// open batch closes.
 
 // batchOp source kinds.
 const (
@@ -59,6 +70,11 @@ type batchJob struct {
 	firstItem int
 	items     int
 	err       error
+
+	// final counts the leading parts whose bytes are final (decoded on
+	// final history, nothing deferred). Part p may decode on final history
+	// exactly when final == p; it then stores p+1.
+	final atomic.Int32
 }
 
 // batchItem is one unit of parallel decode work: a (job, sub-block) pair,
@@ -75,7 +91,10 @@ type batchItem struct {
 // buffers (including sub-block layouts and deferred-copy lists) are
 // recycled across batches. Between Plan and Commit, RunItem calls for
 // distinct items are safe to run concurrently; everything else must be
-// called from one goroutine.
+// called from one goroutine. Several batches may be open on one volume at
+// once, but a read must not hit an entry another open batch reserved: its
+// bytes land only at that batch's Commit. A batch planned again (or
+// released) without a Commit un-reserves its unfilled cache slots.
 //
 // Corrupt-data divergences from the serial path (healthy volumes are
 // bit-identical): the decompression cycles charged at plan time stand even
@@ -90,6 +109,7 @@ type ReadBatch struct {
 	jobs    []batchJob
 	items   []batchItem
 	pending map[dedup.Fingerprint]int32 // fp -> job decoding it this batch
+	open    bool                        // planned, not yet committed
 
 	// Cache-counter deltas over the last Plan, for batch reports.
 	cacheHits, cacheMisses, cacheAdmissions, cacheGhostHits int64
@@ -106,7 +126,9 @@ var batchPool = sync.Pool{New: func() any { return new(ReadBatch) }}
 // NewReadBatch returns an empty batch bound to v, recycled from the
 // package pool when one is available. Pass it back to Release when done
 // with it (serve shards do this on Array.Close) — or don't: an unreleased
-// batch is ordinary garbage.
+// committed batch is ordinary garbage. One dropped between Plan and
+// Commit stays open for good, and the volume stops reusing freed cache
+// buffers: it parks up to that batch's planned reads and drops the rest.
 func (v *Volume) NewReadBatch() *ReadBatch {
 	b := batchPool.Get().(*ReadBatch)
 	b.v = v
@@ -122,6 +144,7 @@ func (b *ReadBatch) Release() {
 	if b == nil {
 		return
 	}
+	b.abandon()
 	jobs := b.jobs[:cap(b.jobs)]
 	for i := range jobs {
 		jb := &jobs[i]
@@ -147,6 +170,29 @@ func (b *ReadBatch) Release() {
 	clear(b.pending)
 	b.v = nil
 	batchPool.Put(b)
+}
+
+// abandon closes a batch that was planned but never committed. Its
+// reserved cache slots will never be filled, so they are un-reserved
+// before the batch stops holding buffers back from reuse.
+func (b *ReadBatch) abandon() {
+	if !b.open {
+		return
+	}
+	for j := range b.jobs {
+		if jb := &b.jobs[j]; jb.cacheSlot != nil {
+			b.v.cache.remove(jb.fp)
+		}
+	}
+	b.close()
+}
+
+// close ends the batch's open span (see the package comment above).
+func (b *ReadBatch) close() {
+	if b.open {
+		b.open = false
+		b.v.cache.closeBatch(len(b.ops))
+	}
 }
 
 // grow extends sl by one without clearing the recycled element's backing
@@ -178,6 +224,9 @@ func (b *ReadBatch) Plan(lbas []int64) error {
 			return fmt.Errorf("volume: lba %d outside [0,%d)", lba, v.cfg.Blocks)
 		}
 	}
+	b.abandon()
+	b.open = true
+	v.cache.openBatch(len(lbas))
 	b.ops = b.ops[:0]
 	b.jobs = b.jobs[:0]
 	b.items = b.items[:0]
@@ -277,6 +326,7 @@ func (b *ReadBatch) Plan(lbas []int64) error {
 		jb.err = nil
 		jb.firstItem = len(b.items)
 		jb.items = 0
+		jb.final.Store(0)
 		// Reserve the cache slot at decision time so admission and eviction
 		// state advance exactly as the serial path's put would. Only a
 		// reserved slot can produce a pending hit, so the map (allocated
@@ -356,21 +406,31 @@ func (b *ReadBatch) RunItem(i int) {
 	}
 	bs := b.v.cfg.BlockSize
 	region := b.buf[jb.op*bs : (jb.op+1)*bs]
+	// A recycled item slot may hold deferred copies from an earlier batch's
+	// sub-part decode; Commit patches deferred unconditionally, so a stale
+	// list here would corrupt the freshly decoded block.
+	it.deferred = it.deferred[:0]
 	if it.part >= 0 {
+		if jb.final.Load() == it.part {
+			// Every earlier part is final: decode on the real history,
+			// defer nothing, and extend the final prefix. The atomic store
+			// publishes this part's bytes to the worker that decodes the
+			// next part.
+			_, it.err = lz.DecodeSubPartFinal(region, &jb.lay, int(it.part))
+			if it.err == nil {
+				jb.final.Store(it.part + 1)
+			}
+			return
+		}
 		if it.deferred == nil {
 			// Presize cold slots: deferred lists are short (overlap history
 			// plus hole chains), so one up-front block replaces append's
 			// doubling walk on the first batch through this slot.
 			it.deferred = make([]lz.DeferredCopy, 0, 16)
 		}
-		it.deferred = it.deferred[:0]
 		it.deferred, _, it.err = lz.DecodeSubPart(region, &jb.lay, int(it.part), it.deferred)
 		return
 	}
-	// A recycled item slot may hold deferred copies from an earlier batch's
-	// sub-part decode; Commit patches deferred unconditionally, so a stale
-	// list here would corrupt the freshly decoded block.
-	it.deferred = it.deferred[:0]
 	// Three-index slice: region's capacity must not leak into the next
 	// op's region if a corrupt blob over-decodes (append would reallocate
 	// instead, and the size check below rejects it).
@@ -391,7 +451,8 @@ func (b *ReadBatch) RunItem(i int) {
 // Commit is the sequential commit phase: deferred overlap copies are
 // patched per job in item order, reserved cache entries are filled (or
 // removed when their decode failed), and pending-hit reads copy out of the
-// decoding op's region. After Commit, Block/Err/Latency are valid.
+// decoding op's region. Commit closes the batch. After Commit,
+// Block/Err/Latency are valid.
 func (b *ReadBatch) Commit() {
 	v := b.v
 	bs := v.cfg.BlockSize
@@ -431,6 +492,7 @@ func (b *ReadBatch) Commit() {
 		}
 		copy(b.buf[i*bs:(i+1)*bs], b.buf[jb.op*bs:(jb.op+1)*bs])
 	}
+	b.close()
 }
 
 // Len returns the number of reads in the committed batch.

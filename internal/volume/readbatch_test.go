@@ -186,7 +186,9 @@ func TestReadBatchReuse(t *testing.T) {
 // container whose sub-parts defer cross-lane matches; batch 2 reuses the
 // same ReadBatch to read raw-fallback blobs, whose whole-blob items recycle
 // those slots — stale deferred entries would be patched into the freshly
-// decoded blocks at commit as silent corruption.
+// decoded blocks at commit as silent corruption. In-order decode defers
+// nothing, so batch 1 runs its parts in reverse, the schedule that makes
+// every part but the first defer.
 func TestReadBatchReuseIndexedThenRaw(t *testing.T) {
 	v := newVolume(t, subConfig())
 	bs := v.cfg.BlockSize
@@ -206,10 +208,14 @@ func TestReadBatchReuseIndexedThenRaw(t *testing.T) {
 		}
 	}
 
-	b, err := v.ReadBatch(nil, []int64{0}, nil)
-	if err != nil {
+	b := v.NewReadBatch()
+	if err := b.Plan([]int64{0}); err != nil {
 		t.Fatal(err)
 	}
+	for i := b.Items() - 1; i >= 0; i-- {
+		b.RunItem(i)
+	}
+	b.Commit()
 	if err := b.Err(0); err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +233,7 @@ func TestReadBatchReuseIndexedThenRaw(t *testing.T) {
 		t.Fatal("indexed decode produced no deferred copies; the scenario needs stale entries to leak")
 	}
 
-	b, err = v.ReadBatch(b, []int64{1, 2}, nil)
+	b, err := v.ReadBatch(b, []int64{1, 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,4 +318,235 @@ func TestReadBatchCorruptBlob(t *testing.T) {
 	if b.Err(0) == nil {
 		t.Fatal("corrupt blob served from cache after a failed decode")
 	}
+}
+
+// deferredCopies counts the overlap copies a batch's decode deferred to
+// commit.
+func deferredCopies(b *ReadBatch) int {
+	n := 0
+	for i := range b.items {
+		n += len(b.items[i].deferred)
+	}
+	return n
+}
+
+// TestReadBatchDecodeOrder: a batch whose parts decode in order (inline,
+// or on a one-worker pool) decodes every sub-block on final history and
+// defers nothing; the same reads decoded in reverse part order take the
+// deferral path and return identical blocks.
+func TestReadBatchDecodeOrder(t *testing.T) {
+	cfg := subConfig()
+	cfg.CacheBytes = 0 // every read decodes
+	lbas := stormLBAs(64, 200)
+	var want *ReadBatch
+	for _, workers := range []int{0, 1} {
+		v := newVolume(t, cfg)
+		fillVolume(t, v, 64)
+		var pool *parallel.Pool
+		if workers > 0 {
+			pool = parallel.New(workers)
+		}
+		b, err := v.ReadBatch(nil, lbas, pool)
+		if pool != nil {
+			pool.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.DecodedParts() <= b.DecodedBlobs() {
+			t.Fatalf("workers=%d: no sub-block fan-out: %d parts over %d blobs", workers, b.DecodedParts(), b.DecodedBlobs())
+		}
+		if n := deferredCopies(b); n != 0 {
+			t.Fatalf("workers=%d: in-order batch deferred %d copies, want 0", workers, n)
+		}
+		want = b
+	}
+
+	v := newVolume(t, cfg)
+	fillVolume(t, v, 64)
+	b := v.NewReadBatch()
+	if err := b.Plan(lbas); err != nil {
+		t.Fatal(err)
+	}
+	for i := b.Items() - 1; i >= 0; i-- {
+		b.RunItem(i)
+	}
+	if deferredCopies(b) == 0 {
+		t.Fatal("reverse-order decode deferred nothing; the deferral path went unexercised")
+	}
+	b.Commit()
+	for i := range lbas {
+		if err := b.Err(i); err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		if !bytes.Equal(b.Block(i), want.Block(i)) {
+			t.Fatalf("read %d (lba %d): reverse-order bytes diverge from in-order", i, lbas[i])
+		}
+	}
+}
+
+// cacheOracle writes n distinct blocks and returns each LBA's content.
+func cacheOracle(t *testing.T, v *Volume, n int) [][]byte {
+	t.Helper()
+	blocks := make([][]byte, n)
+	for i := range blocks {
+		blocks[i] = block(1000 + i)
+		if _, err := v.Write(int64(i), blocks[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return blocks
+}
+
+// checkCacheContents fails if any resident cache entry holds bytes other
+// than its fingerprint's content — the entry every later hit would serve.
+func checkCacheContents(t *testing.T, v *Volume, blocks [][]byte, when string) {
+	t.Helper()
+	for lba, want := range blocks {
+		if e, ok := v.cache.byFP[v.lbaMap[int64(lba)]]; ok && !bytes.Equal(e.data, want) {
+			t.Fatalf("%s: cache entry for lba %d holds another block's bytes", when, lba)
+		}
+	}
+}
+
+// checkBatch fails unless read i of b returned blocks[lbas[i]].
+func checkBatch(t *testing.T, b *ReadBatch, lbas []int64, blocks [][]byte, when string) {
+	t.Helper()
+	for i, lba := range lbas {
+		if err := b.Err(i); err != nil {
+			t.Fatalf("%s: read %d: %v", when, i, err)
+		}
+		if !bytes.Equal(b.Block(i), blocks[lba]) {
+			t.Fatalf("%s: read %d (lba %d): wrong bytes", when, i, lba)
+		}
+	}
+}
+
+// checkSerialReads reads every block through the serial path (cache hits
+// included) and compares against the oracle.
+func checkSerialReads(t *testing.T, v *Volume, blocks [][]byte, when string) {
+	t.Helper()
+	for pass := 0; pass < 2; pass++ {
+		for lba, want := range blocks {
+			got, _, err := v.ReadInto(nil, int64(lba))
+			if err != nil {
+				t.Fatalf("%s: lba %d: %v", when, lba, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: pass %d lba %d: wrong bytes", when, pass, lba)
+			}
+		}
+	}
+}
+
+// TestReadBatchCacheRecycleWithinBatch: with a 2-block cache, a batch of
+// distinct misses evicts slots it reserved earlier in the same plan, and
+// their buffers are recycled once the batch commits. Every block, every
+// later batch and serial read, and every resident cache entry must match
+// the written content.
+func TestReadBatchCacheRecycleWithinBatch(t *testing.T) {
+	cfg := subConfig()
+	cfg.CacheBytes = 2 * int64(cfg.BlockSize)
+	v := newVolume(t, cfg)
+	blocks := cacheOracle(t, v, 12)
+
+	lbas := []int64{0, 1, 2, 3, 4, 5, 6, 7}
+	b, err := v.ReadBatch(nil, lbas, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBatch(t, b, lbas, blocks, "batch 1")
+	checkCacheContents(t, v, blocks, "after batch 1")
+	if v.cache.evictions == 0 || len(v.cache.spare) == 0 {
+		t.Fatalf("scenario needs evicted reservations recycled: %d evictions, %d spare buffers",
+			v.cache.evictions, len(v.cache.spare))
+	}
+
+	lbas = []int64{8, 9, 6, 7, 8, 0, 1, 9, 10, 11, 10, 3}
+	if b, err = v.ReadBatch(b, lbas, nil); err != nil {
+		t.Fatal(err)
+	}
+	checkBatch(t, b, lbas, blocks, "batch 2")
+	checkCacheContents(t, v, blocks, "after batch 2")
+	checkSerialReads(t, v, blocks, "serial reads")
+	checkCacheContents(t, v, blocks, "after serial reads")
+}
+
+// TestReadBatchInterleavedBatches: evicted reservations stay parked until
+// every open batch on the volume has committed. Batch A plans (reserving
+// slots), batch B plans, decodes, and commits, then serial reads insert
+// new entries — all while A is still open. A's commit then fills its
+// evicted slots; had their buffers been handed to B's or the serial
+// reads' entries, those entries would now serve A's bytes.
+func TestReadBatchInterleavedBatches(t *testing.T) {
+	cfg := subConfig()
+	cfg.CacheBytes = 2 * int64(cfg.BlockSize)
+	v := newVolume(t, cfg)
+	blocks := cacheOracle(t, v, 12)
+
+	// Disjoint content per phase: no read may hit an entry another open
+	// batch reserved (see ReadBatch).
+	lbasA, lbasB := []int64{0, 1, 2, 3}, []int64{4, 5, 6, 7}
+	a, b := v.NewReadBatch(), v.NewReadBatch()
+	if err := a.Plan(lbasA); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Plan(lbasB); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < b.Items(); i++ {
+		b.RunItem(i)
+	}
+	b.Commit()
+	checkBatch(t, b, lbasB, blocks, "batch B")
+	for lba := 8; lba < 12; lba++ {
+		got, _, err := v.ReadInto(nil, int64(lba))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, blocks[lba]) {
+			t.Fatalf("serial read of lba %d while A is open: wrong bytes", lba)
+		}
+	}
+	for i := 0; i < a.Items(); i++ {
+		a.RunItem(i)
+	}
+	a.Commit()
+	checkBatch(t, a, lbasA, blocks, "batch A")
+	checkCacheContents(t, v, blocks, "after both commits")
+	checkSerialReads(t, v, blocks, "serial reads after both commits")
+	if v.cache.openBatches != 0 {
+		t.Fatalf("open batch count %d after every batch committed", v.cache.openBatches)
+	}
+}
+
+// TestReadBatchAbandonedPlan: planning a batch again (or releasing it)
+// without a Commit un-reserves the cache slots the dropped plan would
+// have filled, and closes the batch so buffer reuse resumes.
+func TestReadBatchAbandonedPlan(t *testing.T) {
+	cfg := subConfig()
+	cfg.CacheBytes = 4 * int64(cfg.BlockSize)
+	v := newVolume(t, cfg)
+	blocks := cacheOracle(t, v, 8)
+
+	b := v.NewReadBatch()
+	if err := b.Plan([]int64{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	lbas := []int64{2, 3, 0}
+	if _, err := v.ReadBatch(b, lbas, nil); err != nil {
+		t.Fatal(err)
+	}
+	checkBatch(t, b, lbas, blocks, "re-planned batch")
+	checkCacheContents(t, v, blocks, "after re-plan")
+
+	if err := b.Plan([]int64{4, 5}); err != nil {
+		t.Fatal(err)
+	}
+	b.Release()
+	if v.cache.openBatches != 0 {
+		t.Fatalf("open batch count %d after the last batch was released", v.cache.openBatches)
+	}
+	checkCacheContents(t, v, blocks, "after release")
+	checkSerialReads(t, v, blocks, "serial reads")
 }

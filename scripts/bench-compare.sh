@@ -17,9 +17,10 @@
 # allocs/op geomean regression exits non-zero. Compare on the machine that
 # recorded the baseline (or re-record); wall time is not portable across
 # hosts. The batch read path additionally carries two ABSOLUTE gates
-# (host-independent, enforced even with --record): allocs/read-op on the
-# cache-disabled storm cases must stay under READ_ALLOC_CEILING, and the
-# warm-cache storm pass's hit rate must stay over CACHE_HIT_FLOOR.
+# (host-independent, enforced even with --record): allocs/read-op on
+# every storm case, cache-disabled and warm, must stay under
+# READ_ALLOC_CEILING, and the warm-cache storm pass's hit rate must stay
+# over CACHE_HIT_FLOOR.
 #
 # Every run (compare or --record) also writes BENCH_<n>.json — a
 # github-action-benchmark data.js-style snapshot (per-benchmark geomeans
@@ -68,10 +69,10 @@ COUNT="${BENCH_COUNT:-5}"
 TIME_TOLERANCE_PCT="${TIME_TOLERANCE_PCT:-15}"
 ALLOC_TOLERANCE_PCT="${ALLOC_TOLERANCE_PCT:-10}"
 # Absolute gates on the batch read path, enforced on every run (including
-# --record): the zero-alloc decode path must stay under the per-read
-# allocation ceiling on the cache-disabled cases, and the warm-cache storm
-# pass must keep a nonzero hit rate, or the admission policy has regressed
-# to scan-churn. These mirror (and re-check, for runs that bypass `go
+# --record): the zero-alloc read path must stay under the per-read
+# allocation ceiling on every case, cache-disabled and warm, and the warm
+# storm pass must keep a nonzero hit rate, or the admission policy has
+# regressed to scan-churn. These mirror (and re-check, for runs that bypass `go
 # test`'s own Fatalf gates) the ceilings compiled into
 # BenchmarkReadPathWallClock.
 READ_ALLOC_CEILING="${READ_ALLOC_CEILING:-0.05}"
@@ -148,7 +149,7 @@ read_path_gates() {
     local raw="$1" ok=1 bcase allocs hitrate
     echo
     echo "== read-path absolute gates =="
-    for bcase in BenchmarkReadPathWallClock/serial BenchmarkReadPathWallClock/parallel; do
+    for bcase in BenchmarkReadPathWallClock/serial BenchmarkReadPathWallClock/parallel BenchmarkReadPathWallClock/warm; do
         allocs="$(fgeomean "$raw" "$bcase" allocs/read-op)" || { echo "$bcase: no allocs/read-op samples"; ok=0; continue; }
         if awk -v v="$allocs" -v c="$READ_ALLOC_CEILING" 'BEGIN { exit !(v <= c) }'; then
             printf '%-36s allocs/read-op=%-10s ceiling=%-8s ok\n' "$bcase" "$allocs" "$READ_ALLOC_CEILING"
@@ -280,6 +281,7 @@ if [[ "${1:-}" == "--record" ]]; then
         echo "#   GearCDC ref/fast (all corpora)     = $(ratio "$RAW" BenchmarkGearCDCRef/ BenchmarkGearCDC/)"
         echo "# Read-path absolute gates at record time (also enforced inside the bench):"
         echo "#   allocs/read-op (cache off)  = $(fgeomean "$RAW" BenchmarkReadPathWallClock/parallel allocs/read-op) (ceiling $READ_ALLOC_CEILING)"
+        echo "#   allocs/read-op (warm cache) = $(fgeomean "$RAW" BenchmarkReadPathWallClock/warm allocs/read-op) (ceiling $READ_ALLOC_CEILING)"
         echo "#   warm-pass cache-hit-rate    = $(fgeomean "$RAW" BenchmarkReadPathWallClock/warm cache-hit-rate) (floor $CACHE_HIT_FLOOR)"
         echo "# On a single-core host the serial/parallel and shards1/shards4 ratios"
         echo "# hover near 1.00: the parallel, sharded, and batch-read-fan-out cases"
