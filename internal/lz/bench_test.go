@@ -40,6 +40,7 @@ func BenchmarkMatchLen(b *testing.B) {
 
 func BenchmarkCompress4KIncompressible(b *testing.B) {
 	data := benchChunk(1.0)
+	b.ReportAllocs()
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
 		Compress(nil, data, DefaultParams())
@@ -48,6 +49,7 @@ func BenchmarkCompress4KIncompressible(b *testing.B) {
 
 func BenchmarkCompress4KHalfCompressible(b *testing.B) {
 	data := benchChunk(0.5)
+	b.ReportAllocs()
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
 		Compress(nil, data, DefaultParams())
@@ -56,6 +58,7 @@ func BenchmarkCompress4KHalfCompressible(b *testing.B) {
 
 func BenchmarkCompress4KZeros(b *testing.B) {
 	data := make([]byte, 4096)
+	b.ReportAllocs()
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
 		Compress(nil, data, DefaultParams())
@@ -136,6 +139,7 @@ func BenchmarkSubDecode4K(b *testing.B) {
 func BenchmarkSubBlocks4Lanes(b *testing.B) {
 	data := benchChunk(0.5)
 	p := DefaultSubBlockParams()
+	b.ReportAllocs()
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
 		CompressSubBlocks(data, p)

@@ -49,6 +49,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -150,25 +151,37 @@ func hash4(v uint32) uint32 {
 	return (v * 2654435761) >> hashShift
 }
 
-// matcher is a hash-chain match finder over one contiguous buffer. The
-// head table stores position+1 (0 = empty chain), so resetting it is one
-// memclr instead of a -1 fill; prev stores real positions (-1 = end).
-type matcher struct {
-	head [1 << hashBits]int32
-	prev []int32
-	data []byte
-	size int // pool size class (see matcherPools)
+// posEntry is a position-table entry: uint16 when every position+1 of
+// the buffer fits (inputs under 64 KiB, which covers the engine's chunks
+// and sub-block lanes), uint32 otherwise.
+type posEntry interface{ ~uint16 | ~uint32 }
+
+// matcher is a single-pass hash-chain match finder over one contiguous
+// buffer: step hashes a position once, reads its chain head once, links
+// the position in and walks the chain it displaced. Both tables store
+// position+1 (0 = empty chain / end of chain), so resetting head is one
+// memclr and prev never needs resetting: a position's prev entry is
+// written before anything can reach it. With 16-bit entries a 4 KB chunk's
+// tables are 24 KB (head 16 KB, prev 8 KB) and sit in L1 next to the data.
+type matcher[T posEntry] struct {
+	head  [1 << hashBits]T
+	prev  []T
+	class int // pool size class (see matcherPool)
 }
 
-// matcherPools recycle matchers across encodes, bucketed by the prev
-// chain's power-of-two size class: the head table and prev chain together
-// are ~48 KB per 4 KB chunk, by far the codec's largest allocation, and
-// resetting them is much cheaper than reallocating under GC pressure.
-// Bucketing by size keeps a matcher sized for 4 KB chunks from ping-ponging
-// with the sub-block encoder's much smaller lanes (or an occasional large
-// buffer), so a Get almost never reallocates prev. Each pool is safe for
-// the engine's concurrent compression workers.
-var matcherPools [32]sync.Pool
+// matcherPool recycles matchers across encodes, bucketed by the prev
+// chain's power-of-two size class: the tables are by far the codec's
+// largest allocation, and resetting head is much cheaper than
+// reallocating under GC pressure. Bucketing by size keeps a matcher sized
+// for 4 KB chunks from ping-ponging with the sub-block encoder's much
+// smaller lanes (or an occasional large buffer), so a get almost never
+// reallocates prev. Safe for the engine's concurrent compression workers.
+type matcherPool[T posEntry] [33]sync.Pool
+
+var (
+	matchers16 matcherPool[uint16]
+	matchers32 matcherPool[uint32]
+)
 
 // matcherSizeClass returns the bucket index for a buffer of n bytes: the
 // smallest power of two >= n (class 0 holds n <= 1).
@@ -179,36 +192,59 @@ func matcherSizeClass(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-func newMatcher(data []byte) *matcher {
-	class := matcherSizeClass(len(data))
-	m, _ := matcherPools[class].Get().(*matcher)
+// get returns a reset matcher for an n-byte buffer.
+func (mp *matcherPool[T]) get(n int) *matcher[T] {
+	class := matcherSizeClass(n)
+	m, _ := mp[class].Get().(*matcher[T])
 	if m == nil {
-		m = &matcher{prev: make([]int32, 1<<class), size: class}
+		m = &matcher[T]{prev: make([]T, 1<<class), class: class}
 	}
-	m.data = data
-	m.prev = m.prev[:len(data)]
+	m.prev = m.prev[:n]
 	clear(m.head[:])
 	return m
 }
 
-// release returns the matcher to the pool; the caller must not use it
-// afterwards.
-func (m *matcher) release() {
-	m.data = nil
-	matcherPools[m.size].Put(m)
-}
+// put returns m to the pool; the caller must not use it afterwards.
+func (mp *matcherPool[T]) put(m *matcher[T]) { mp[m.class].Put(m) }
 
-func (m *matcher) insert(pos int) {
-	if pos+4 > len(m.data) {
-		return
+// link inserts positions [lo, hi) into their chains. Callers bound hi by
+// the hashable limit (pos+4 <= len(data)).
+func (m *matcher[T]) link(data []byte, lo, hi int) {
+	for pos := lo; pos < hi; pos++ {
+		h := hash4(binary.LittleEndian.Uint32(data[pos:]))
+		m.prev[pos] = m.head[h]
+		m.head[h] = T(pos + 1)
 	}
-	h := hash4(binary.LittleEndian.Uint32(m.data[pos:]))
-	m.prev[pos] = m.head[h] - 1
-	m.head[h] = int32(pos) + 1
 }
 
-// find returns the best match for pos looking back at most `reach` bytes
-// (bounded by the format window) and reports the chain steps examined.
+// push links the hashable position pos into its chain and returns the
+// head it displaced: the newest earlier candidate, as position+1 (0 when
+// the chain was empty).
+func (m *matcher[T]) push(data []byte, pos int) int {
+	h := hash4(binary.LittleEndian.Uint32(data[pos:]))
+	cand := int(m.head[h])
+	m.prev[pos] = T(cand)
+	m.head[h] = T(pos + 1)
+	return cand
+}
+
+// step links the hashable position pos into its chain and returns the
+// best match for it within the format window, with the chain steps
+// examined. It equals the two-pass reference's find(pos) followed by
+// insert(pos) (encodeRangeRef, in the tests): every linked position is
+// below pos, so the walk from the displaced head sees the same candidates.
+// The hot loop open-codes it so that push inlines and the walk is only
+// called when the displaced head is inside the window.
+func (m *matcher[T]) step(data []byte, pos, maxChain int) (offset, length, steps int) {
+	if cand := m.push(data, pos); cand > max(pos-Window, 0) {
+		return m.walk(data, pos, cand, maxChain)
+	}
+	return 0, 0, 0
+}
+
+// walk returns the best match for pos along the chain whose newest
+// candidate is cand (position+1, inside the window), and the candidates
+// examined.
 //
 // The steps accounting is part of the virtual-time cost model and counts
 // chain candidates EXAMINED, exactly as the original scalar walk did; the
@@ -216,34 +252,20 @@ func (m *matcher) insert(pos int) {
 // for candidates that cannot beat the current best (their byte at offset
 // bestLen differs, so their match length is <= bestLen), never changing
 // which candidates count as a step or what the function returns.
-func (m *matcher) find(pos, reach, maxChain int) (offset, length, steps int) {
-	if pos+4 > len(m.data) {
-		// Too close to the end to hash a 4-byte group; emit literals.
-		return 0, 0, 0
-	}
-	if reach > Window {
-		reach = Window
-	}
-	limit := pos - reach
-	if limit < 0 {
-		limit = 0
-	}
-	maxLen := len(m.data) - pos
-	if maxLen > MaxMatch {
-		maxLen = MaxMatch
-	}
-	h := hash4(binary.LittleEndian.Uint32(m.data[pos:]))
-	cand := m.head[h] - 1
+func (m *matcher[T]) walk(data []byte, pos, cand, maxChain int) (offset, length, steps int) {
+	// Candidates at or below limit (in position+1 terms) are outside the
+	// window; the end-of-chain 0 always is.
+	limit := max(pos-Window, 0)
+	maxLen := min(len(data)-pos, MaxMatch)
 	bestLen, bestOff := 0, 0
-	data := m.data
-	for cand >= 0 && int(cand) >= limit && steps < maxChain {
+	for cand > limit && steps < maxChain {
 		steps++
-		c := int(cand)
+		c := cand - 1
 		// Rejection probe: while bestLen < maxLen (guaranteed — a maxLen
 		// match breaks out below), a candidate whose byte at bestLen
 		// mismatches can only match <= bestLen bytes and cannot improve
 		// the result; skip its compare loop entirely.
-		if c < pos && data[c+bestLen] == data[pos+bestLen] {
+		if data[c+bestLen] == data[pos+bestLen] {
 			l := matchLen(data, c, pos, maxLen)
 			if l > bestLen {
 				bestLen, bestOff = l, pos-c
@@ -252,7 +274,7 @@ func (m *matcher) find(pos, reach, maxChain int) (offset, length, steps int) {
 				}
 			}
 		}
-		cand = m.prev[cand]
+		cand = int(m.prev[c])
 	}
 	if bestLen < MinMatch {
 		return 0, 0, steps
@@ -282,19 +304,27 @@ func matchLen(data []byte, a, b, max int) int {
 	return n
 }
 
-// tokenWriter emits the flag-interleaved token stream.
+// tokenWriter emits the flag-interleaved token stream into capacity
+// reserved up front for the worst case, so no write appends.
 type tokenWriter struct {
-	out      []byte
+	out      []byte // reserved space; out[:n] is written
+	n        int
 	flagPos  int // index of the pending flag byte
 	flagBit  uint
 	literals int
 	matches  int
 }
 
+// maxTokens is the worst-case token-stream size for n input bytes: every
+// byte a literal, plus one flag byte per 8 items. A match spends 3 bytes
+// (with its flag share) on at least 3 input bytes, so it never costs more.
+func maxTokens(n int) int { return n + (n+7)/8 }
+
 func (w *tokenWriter) item(isMatch bool) {
 	if w.flagBit == 0 {
-		w.flagPos = len(w.out)
-		w.out = append(w.out, 0)
+		w.flagPos = w.n
+		w.out[w.n] = 0
+		w.n++
 		w.flagBit = 1
 	}
 	if isMatch {
@@ -308,79 +338,84 @@ func (w *tokenWriter) item(isMatch bool) {
 
 func (w *tokenWriter) literal(b byte) {
 	w.item(false)
-	w.out = append(w.out, b)
+	w.out[w.n] = b
+	w.n++
 	w.literals++
 }
 
 func (w *tokenWriter) match(offset, length int) {
 	w.item(true)
 	v := uint16(offset-1)<<4 | uint16(length-MinMatch)
-	w.out = append(w.out, byte(v>>8), byte(v))
+	w.out[w.n] = byte(v >> 8)
+	w.out[w.n+1] = byte(v)
+	w.n += 2
 	w.matches++
 }
 
 // encodeRange compresses data[from:] as one token stream appended to out
-// (pass nil to allocate, or a recycled scratch to avoid it), allowing
+// (pass nil to allocate, or a recycled scratch to avoid it; capacity for
+// maxTokens(len(data)-from) more bytes avoids any growth), allowing
 // matches to reach back into data[:from] (the preloaded history). It
 // returns the token stream and stats for the encoded range.
 func encodeRange(out, data []byte, from int, p Params) ([]byte, Stats) {
-	if p.MaxChain < 1 {
-		p.MaxChain = 1
+	if len(data) < 1<<16 {
+		return encodeWith(&matchers16, out, data, from, p)
 	}
-	m := newMatcher(data)
-	defer m.release()
-	for i := 0; i < from; i++ {
-		m.insert(i)
-	}
-	w := tokenWriter{out: out}
-	var st Stats
-	st.SrcBytes = len(data) - from
+	return encodeWith(&matchers32, out, data, from, p)
+}
+
+// encodeWith is encodeRange's body for one position-table width. Each
+// position is linked exactly once, in increasing order, and every link
+// of a searched position happens in its step, so the walk at pos sees
+// exactly the positions below it.
+func encodeWith[T posEntry](mp *matcherPool[T], out, data []byte, from int, p Params) ([]byte, Stats) {
+	maxChain := max(p.MaxChain, 1)
+	m := mp.get(len(data))
+	// Positions below hashable have a full 4-byte group to hash; the
+	// rest can only be literals.
+	hashable := len(data) - 3
+	m.link(data, 0, min(from, hashable))
+	base := len(out)
+	out = slices.Grow(out, maxTokens(len(data)-from))
+	w := tokenWriter{out: out[base : base+maxTokens(len(data)-from)]}
+	st := Stats{SrcBytes: len(data) - from}
 	pos := from
-	for pos < len(data) {
-		off, l, steps := m.find(pos, pos, p.MaxChain)
-		st.SearchSteps += steps
-		if l >= MinMatch && p.Lazy && pos+1 < len(data) && l < MaxMatch {
+	for pos < hashable {
+		var off, l, steps int
+		if cand := m.push(data, pos); cand > max(pos-Window, 0) {
+			off, l, steps = m.walk(data, pos, cand, maxChain)
+			st.SearchSteps += steps
+		}
+		if l < MinMatch {
+			w.literal(data[pos])
+			pos++
+			continue
+		}
+		linked := pos + 1 // positions below linked are in their chains
+		if p.Lazy && l < MaxMatch && pos+1 < hashable {
 			// One-step lazy evaluation: if the match starting one byte
 			// later is strictly longer, emit this byte as a literal and
-			// take the longer match on the next iteration.
-			m.insert(pos)
-			off2, l2, steps2 := m.find(pos+1, pos+1, p.MaxChain)
+			// take the longer match instead.
+			off2, l2, steps2 := m.step(data, pos+1, maxChain)
 			st.SearchSteps += steps2
+			linked++
 			if l2 > l {
 				w.literal(data[pos])
 				pos++
 				off, l = off2, l2
-			} else {
-				// Keep the current match; pos is already inserted.
-				w.match(off, l)
-				for i := 1; i < l; i++ {
-					m.insert(pos + i)
-				}
-				pos += l
-				continue
 			}
-			w.match(off, l)
-			for i := 0; i < l; i++ {
-				m.insert(pos + i)
-			}
-			pos += l
-			continue
 		}
-		if l >= MinMatch {
-			w.match(off, l)
-			for i := 0; i < l; i++ {
-				m.insert(pos + i)
-			}
-			pos += l
-		} else {
-			w.literal(data[pos])
-			m.insert(pos)
-			pos++
-		}
+		w.match(off, l)
+		m.link(data, linked, min(pos+l, hashable))
+		pos += l
 	}
+	for ; pos < len(data); pos++ {
+		w.literal(data[pos])
+	}
+	mp.put(m)
 	st.Literals, st.Matches = w.literals, w.matches
 	st.Positions = w.literals + w.matches
-	return w.out, st
+	return out[:base+w.n], st
 }
 
 // StoreRaw encodes src as a mode-0 (uncompressed) blob appended to dst.

@@ -152,3 +152,104 @@ func TestEncoderOutputUnchangedByMatcherOptimization(t *testing.T) {
 		}
 	}
 }
+
+// subBlockGoldens pins CompressSubBlocks per lane — token bytes (sha256
+// prefix), SearchSteps and SrcBytes — on the shared test corpus, recorded
+// with the two-pass find/insert encoder before the single-pass matcher.
+// Lanes 1..n preload their left neighbour's overlap as history, so this
+// covers encodeRange's from > 0 path, which the whole-chunk goldens above
+// do not. "empty" has no lanes; every other input's lane count is pinned
+// by its row count.
+var subBlockGoldens = []struct {
+	name, cfg string
+	lane      int
+	steps     int
+	srcBytes  int
+	sum       string
+}{
+	{"mixed", "default", 0, 57, 1024, "27799b10aae425e5"},
+	{"mixed", "default", 1, 135, 1024, "fbcf8942faf4339d"},
+	{"mixed", "default", 2, 57, 1024, "0743cda9efd4e4e0"},
+	{"mixed", "default", 3, 57, 1024, "3f23c38cb1c30be0"},
+	{"mixed", "best", 0, 57, 1024, "27799b10aae425e5"},
+	{"mixed", "best", 1, 135, 1024, "fbcf8942faf4339d"},
+	{"mixed", "best", 2, 58, 1024, "0743cda9efd4e4e0"},
+	{"mixed", "best", 3, 58, 1024, "3f23c38cb1c30be0"},
+	{"onebyte", "default", 0, 0, 1, "587bae728805519c"},
+	{"onebyte", "best", 0, 0, 1, "587bae728805519c"},
+	{"periodic", "default", 0, 68, 1225, "4f22b024640308d8"},
+	{"periodic", "default", 1, 68, 1225, "c9c033974a0e5cd5"},
+	{"periodic", "default", 2, 68, 1225, "c9c033974a0e5cd5"},
+	{"periodic", "default", 3, 68, 1225, "c9c033974a0e5cd5"},
+	{"periodic", "best", 0, 69, 1225, "4f22b024640308d8"},
+	{"periodic", "best", 1, 68, 1225, "c9c033974a0e5cd5"},
+	{"periodic", "best", 2, 68, 1225, "c9c033974a0e5cd5"},
+	{"periodic", "best", 3, 68, 1225, "c9c033974a0e5cd5"},
+	{"random", "default", 0, 57, 1024, "27799b10aae425e5"},
+	{"random", "default", 1, 135, 1024, "fbcf8942faf4339d"},
+	{"random", "default", 2, 123, 1024, "2c589cb11628a6d9"},
+	{"random", "default", 3, 135, 1024, "9314aeb90871eb81"},
+	{"random", "best", 0, 57, 1024, "27799b10aae425e5"},
+	{"random", "best", 1, 135, 1024, "fbcf8942faf4339d"},
+	{"random", "best", 2, 123, 1024, "2c589cb11628a6d9"},
+	{"random", "best", 3, 135, 1024, "9314aeb90871eb81"},
+	{"text", "default", 0, 74, 1125, "85c11d118cd0ff9f"},
+	{"text", "default", 1, 76, 1125, "e51923b87649f6af"},
+	{"text", "default", 2, 76, 1125, "e51923b87649f6af"},
+	{"text", "default", 3, 76, 1125, "e51923b87649f6af"},
+	{"text", "best", 0, 74, 1125, "c0f226256fd7d038"},
+	{"text", "best", 1, 77, 1125, "e51923b87649f6af"},
+	{"text", "best", 2, 77, 1125, "e51923b87649f6af"},
+	{"text", "best", 3, 77, 1125, "e51923b87649f6af"},
+	{"tiny", "default", 0, 0, 1, "022a6979e6dab7aa"},
+	{"tiny", "default", 1, 0, 1, "57eb35615d47f34e"},
+	{"tiny", "default", 2, 0, 1, "597fcb31282d3465"},
+	{"tiny", "best", 0, 0, 1, "022a6979e6dab7aa"},
+	{"tiny", "best", 1, 0, 1, "57eb35615d47f34e"},
+	{"tiny", "best", 2, 0, 1, "597fcb31282d3465"},
+	{"zeros", "default", 0, 57, 1024, "0743cda9efd4e4e0"},
+	{"zeros", "default", 1, 57, 1024, "3f23c38cb1c30be0"},
+	{"zeros", "default", 2, 57, 1024, "3f23c38cb1c30be0"},
+	{"zeros", "default", 3, 57, 1024, "3f23c38cb1c30be0"},
+	{"zeros", "best", 0, 58, 1024, "0743cda9efd4e4e0"},
+	{"zeros", "best", 1, 58, 1024, "3f23c38cb1c30be0"},
+	{"zeros", "best", 2, 58, 1024, "3f23c38cb1c30be0"},
+	{"zeros", "best", 3, 58, 1024, "3f23c38cb1c30be0"},
+}
+
+func TestSubBlockEncoderGolden(t *testing.T) {
+	data := corpus()
+	cfgs := map[string]SubBlockParams{
+		"default": DefaultSubBlockParams(),
+		"best":    {Params: BestParams(), SubBlocks: 4, Overlap: Window / 8},
+	}
+	rows := make(map[string]int)
+	for _, g := range subBlockGoldens {
+		rows[g.name+"/"+g.cfg]++
+	}
+	for name, src := range data {
+		for cfg, p := range cfgs {
+			res := CompressSubBlocks(src, p)
+			if len(res.Lanes) != rows[name+"/"+cfg] {
+				t.Errorf("%s/%s: %d lanes, golden %d", name, cfg, len(res.Lanes), rows[name+"/"+cfg])
+			}
+		}
+	}
+	for _, g := range subBlockGoldens {
+		res := CompressSubBlocks(data[g.name], cfgs[g.cfg])
+		if g.lane >= len(res.Lanes) {
+			continue // lane count already reported above
+		}
+		l := res.Lanes[g.lane]
+		if l.Stats.SearchSteps != g.steps {
+			t.Errorf("%s/%s lane %d: SearchSteps %d, golden %d (GPU cost model would shift)", g.name, g.cfg, g.lane, l.Stats.SearchSteps, g.steps)
+		}
+		if l.Stats.SrcBytes != g.srcBytes {
+			t.Errorf("%s/%s lane %d: SrcBytes %d, golden %d", g.name, g.cfg, g.lane, l.Stats.SrcBytes, g.srcBytes)
+		}
+		sum := sha256.Sum256(l.Tokens)
+		if got := fmt.Sprintf("%x", sum[:8]); got != g.sum {
+			t.Errorf("%s/%s lane %d: token bytes hash %s, golden %s", g.name, g.cfg, g.lane, got, g.sum)
+		}
+	}
+}

@@ -74,17 +74,24 @@ func CompressSubBlocks(src []byte, p SubBlockParams) SubBlockResult {
 	if n > len(src) {
 		n = len(src)
 	}
-	for i := 0; i < n; i++ {
+	// Lane token streams are retained in the result (they travel back over
+	// the simulated PCIe link), so they are not scratch-pooled. All lanes'
+	// worst-case token space is one allocation (each lane rounds its flag
+	// bytes up by less than one byte, hence the +n); each lane gets a
+	// capacity-capped window of it, so no lane grows or overruns another.
+	buf := make([]byte, 0, maxTokens(len(src))+n)
+	res.Lanes = make([]LaneResult, n)
+	for i := range res.Lanes {
 		start := i * len(src) / n
 		end := (i + 1) * len(src) / n
 		histStart := start - p.Overlap
 		if histStart < 0 {
 			histStart = 0
 		}
-		// Lane token streams are retained in the result (they travel back
-		// over the simulated PCIe link), so they are not scratch-pooled.
-		tokens, st := encodeRange(nil, src[histStart:end], start-histStart, p.Params)
-		res.Lanes = append(res.Lanes, LaneResult{Tokens: tokens, Stats: st})
+		off := len(buf)
+		tokens, st := encodeRange(buf[off:off:off+maxTokens(end-start)], src[histStart:end], start-histStart, p.Params)
+		res.Lanes[i] = LaneResult{Tokens: tokens, Stats: st}
+		buf = buf[:off+len(tokens)]
 	}
 	return res
 }

@@ -5,7 +5,8 @@
 # Runs BenchmarkDataPlaneWallClock, BenchmarkServeWallClock,
 # BenchmarkClusterWallClock, BenchmarkReadPathWallClock, and
 # BenchmarkRunPerCall (root package) plus the chunker (BenchmarkGearCDC*), batch-fingerprint
-# (BenchmarkSumBatch), and sub-block decode (BenchmarkSubDecode4K)
+# (BenchmarkSumBatch), sub-block decode (BenchmarkSubDecode4K), and LZ
+# encoder (BenchmarkCompress4K*, BenchmarkSubBlocks4Lanes)
 # microbenchmarks, and compares them with the
 # checked-in baseline (bench_baseline.txt, recorded with
 # scripts/bench-compare.sh --record on the reference machine). Uses
@@ -61,6 +62,10 @@ CASES=(
     BenchmarkSumBatch
     BenchmarkSubDecode4K/serial
     BenchmarkSubDecode4K/indexed
+    BenchmarkCompress4KIncompressible
+    BenchmarkCompress4KHalfCompressible
+    BenchmarkCompress4KZeros
+    BenchmarkSubBlocks4Lanes
 )
 COUNT="${BENCH_COUNT:-5}"
 # Both tolerances gate the exit status. Allocation counts are deterministic
@@ -99,6 +104,8 @@ run_bench() {
         -benchtime 20x -count "$COUNT" -timeout 20m
     go test ./internal/lz -run '^$' -bench 'BenchmarkSubDecode4K' \
         -benchtime 500x -count "$COUNT" -timeout 20m
+    go test ./internal/lz -run '^$' -bench 'BenchmarkCompress4K|BenchmarkSubBlocks4Lanes' \
+        -benchtime 2000x -count "$COUNT" -timeout 20m
 }
 
 # geomean <file> <benchmark-substring> <unit>
